@@ -30,7 +30,6 @@ from repro.harness.runner import BenchmarkRunner
 from repro.isolation.history import HistoryRecorder
 from repro.isolation.streaming import StreamingDSGChecker
 from repro.sim.environment import Environment
-from repro.sim.network import ClusterModel
 from repro.storage.durability import DurabilityManager
 from repro.storage.gc import GarbageCollector
 from repro.storage.mvstore import MultiVersionStore
@@ -358,8 +357,6 @@ class Tracer:
             (TebaldiEngine, "perform_write", "core.write", txn1, None),
             (TebaldiEngine, "perform_scan", "core.scan", txn1, self._count_scan_rows),
             (TebaldiEngine, "wait_for_transactions", "core.wait", txn1, None),
-            (ClusterModel, "compute", "sim.cluster.compute", None, None),
-            (ClusterModel, "network_delay", "sim.cluster.network_delay", None, None),
         ]
         # Resolve every original before patching anything, so a class that
         # inherits a hook from another patched class wraps the original.
